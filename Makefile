@@ -160,14 +160,23 @@ smoke: build
 # neither knob may move a byte of the rendered table. The E12 leg runs
 # the full-size coexistence frontier (64/512/2048 domains on the
 # event-driven PHY engine, fanned out over -p workers) and pins the
-# index-ordered reduction: identical tables at -p 1 and -p 8.
+# index-ordered reduction: identical tables at -p 1 and -p 8. The
+# quick-sweep legs repeat under GOMAXPROCS=1 and GOMAXPROCS=8: a wake
+# that depends on when the Go scheduler runs the woken goroutine
+# (rather than handing it the virtual clock's busy slot) shows up as a
+# byte difference between a one-thread and a many-thread run.
 determinism-smoke: build
 	$(GO) build -o /tmp/dlte-sim-det ./cmd/dlte-sim
 	/tmp/dlte-sim-det -quick -p 1 -shards 1 2>/dev/null > /tmp/dlte-det-p1.txt
-	/tmp/dlte-sim-det -quick -p 8 -shards 1 2>/dev/null > /tmp/dlte-det-p8.txt
-	/tmp/dlte-sim-det -quick -p 8 -shards 8 2>/dev/null > /tmp/dlte-det-s8.txt
-	cmp /tmp/dlte-det-p1.txt /tmp/dlte-det-p8.txt
-	cmp /tmp/dlte-det-p1.txt /tmp/dlte-det-s8.txt
+	@for procs in 1 8; do \
+		echo "determinism-smoke: quick sweep, GOMAXPROCS=$$procs"; \
+		GOMAXPROCS=$$procs /tmp/dlte-sim-det -quick -p 1 -shards 1 2>/dev/null > /tmp/dlte-det-g-p1.txt && \
+		GOMAXPROCS=$$procs /tmp/dlte-sim-det -quick -p 8 -shards 1 2>/dev/null > /tmp/dlte-det-g-p8.txt && \
+		GOMAXPROCS=$$procs /tmp/dlte-sim-det -quick -p 8 -shards 8 2>/dev/null > /tmp/dlte-det-g-s8.txt && \
+		cmp /tmp/dlte-det-p1.txt /tmp/dlte-det-g-p1.txt && \
+		cmp /tmp/dlte-det-p1.txt /tmp/dlte-det-g-p8.txt && \
+		cmp /tmp/dlte-det-p1.txt /tmp/dlte-det-g-s8.txt || exit 1; \
+	done
 	/tmp/dlte-sim-det -exp E13 -ues 100000 -p 1 -shards 1 2>/dev/null > /tmp/dlte-det-e13-p1.txt
 	/tmp/dlte-sim-det -exp E13 -ues 100000 -p 8 -shards 1 2>/dev/null > /tmp/dlte-det-e13-p8.txt
 	/tmp/dlte-sim-det -exp E13 -ues 100000 -p 8 -shards 8 2>/dev/null > /tmp/dlte-det-e13-s8.txt
@@ -181,7 +190,7 @@ determinism-smoke: build
 	/tmp/dlte-sim-det -exp E12 -p 1 2>/dev/null > /tmp/dlte-det-e12-p1.txt
 	/tmp/dlte-sim-det -exp E12 -p 8 2>/dev/null > /tmp/dlte-det-e12-p8.txt
 	cmp /tmp/dlte-det-e12-p1.txt /tmp/dlte-det-e12-p8.txt
-	rm -f /tmp/dlte-sim-det /tmp/dlte-det-p1.txt /tmp/dlte-det-p8.txt /tmp/dlte-det-s8.txt \
+	rm -f /tmp/dlte-sim-det /tmp/dlte-det-p1.txt /tmp/dlte-det-g-p1.txt /tmp/dlte-det-g-p8.txt /tmp/dlte-det-g-s8.txt \
 		/tmp/dlte-det-e13-p1.txt /tmp/dlte-det-e13-p8.txt /tmp/dlte-det-e13-s8.txt \
 		/tmp/dlte-det-e11-p1.txt /tmp/dlte-det-e11-p8.txt /tmp/dlte-det-e11-s8.txt \
 		/tmp/dlte-det-e12-p1.txt /tmp/dlte-det-e12-p8.txt

@@ -360,7 +360,7 @@ type enbIngest struct {
 	q    [][]byte // pooled frame copies, FIFO from head
 	head int
 	dead bool
-	wake chan struct{} // buffered(1) doorbell for the serving goroutine
+	bell simnet.Bell // rung on every push and on close
 }
 
 // push queues a copy of frame (which is only valid during the
@@ -370,7 +370,7 @@ func (in *enbIngest) push(frame []byte) {
 	in.mu.Lock()
 	in.q = append(in.q, buf)
 	in.mu.Unlock()
-	in.signal()
+	in.bell.Ring()
 }
 
 // close marks the association dead; queued frames (already fully
@@ -380,20 +380,14 @@ func (in *enbIngest) close() {
 	in.mu.Lock()
 	in.dead = true
 	in.mu.Unlock()
-	in.signal()
-}
-
-func (in *enbIngest) signal() {
-	select {
-	case in.wake <- struct{}{}:
-	default:
-	}
+	in.bell.Ring()
 }
 
 // pop returns the next queued frame, parking through the clock until
 // one arrives. ok=false means dead and drained.
 func (in *enbIngest) pop(clk simnet.Clock) (frame []byte, ok bool) {
 	for {
+		seq := in.bell.Seq()
 		in.mu.Lock()
 		if in.head < len(in.q) {
 			f := in.q[in.head]
@@ -410,9 +404,7 @@ func (in *enbIngest) pop(clk simnet.Clock) (frame []byte, ok bool) {
 			return nil, false
 		}
 		in.mu.Unlock()
-		clk.Block()
-		<-in.wake
-		clk.Unblock()
+		in.bell.Wait(clk, seq, nil)
 	}
 }
 
@@ -435,7 +427,7 @@ func (in *enbIngest) drain() {
 func (c *Core) serveENBDispatch(sc *simnet.Conn) {
 	clk := simnet.ClockOf(sc)
 	connID := sc.RemoteAddr().String()
-	in := &enbIngest{wake: make(chan struct{}, 1)}
+	in := &enbIngest{}
 	asm := &wire.FrameAssembler{}
 	sc.OnDeliver(func(data []byte) {
 		if asm.Feed(data, func(frame []byte) error {
@@ -445,13 +437,9 @@ func (c *Core) serveENBDispatch(sc *simnet.Conn) {
 			asm.Reset()
 			in.close()
 		}
-		// The serving goroutine may have parked on the doorbell; tell
-		// the virtual clock a goroutine became runnable.
-		simnet.Poke(clk)
 	}, func() {
 		asm.Reset()
 		in.close()
-		simnet.Poke(clk)
 	})
 
 	ec := &enbConn{conn: s1ap.NewConn(sc), sessions: make(map[uint32]*ueSession)}

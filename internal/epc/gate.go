@@ -17,17 +17,14 @@ const gateEpsilon = time.Nanosecond
 
 // gateWaiter is one entrant awaiting admission, keyed by virtual
 // arrival time with an actor ID (the eNB connection ID) as tiebreak.
-// Each waiter owns a buffered(1) ready channel for direct handoff:
-// the admitting goroutine signals exactly the waiters it admits, and
-// nobody else wakes.
+// Each waiter owns a doorbell for direct handoff: the admitting
+// goroutine rings exactly the waiters it admits (handing each its
+// virtual-clock busy slot), and nobody else wakes.
 type gateWaiter struct {
-	at    time.Time
-	actor string
-	ready chan struct{}
-}
-
-var gateWaiterPool = sync.Pool{
-	New: func() interface{} { return &gateWaiter{ready: make(chan struct{}, 1)} },
+	at       time.Time
+	actor    string
+	admitted bool // guarded by the gate's mu
+	bell     simnet.Bell
 }
 
 // detGate admits work onto a bounded number of slots in deterministic
@@ -43,7 +40,7 @@ var gateWaiterPool = sync.Pool{
 // Admission is batched: whenever a slot frees or the registration
 // window closes, tryAdmit pops the whole admissible run of queue
 // heads in one pass and hands each admitted waiter its slot directly
-// over its own channel. The earlier design instead closed a shared
+// through its own doorbell. The earlier design instead closed a shared
 // broadcast channel and let every parked entrant re-check — O(n)
 // spurious wakeups per admission, O(n²) per storm burst, which
 // dominated the attach-storm profile at high shard counts.
@@ -60,10 +57,21 @@ type detGate struct {
 	mu      sync.Mutex
 	waiters []*gateWaiter // sorted by (at, actor); small: one per eNB conn
 	running int
+	free    []*gateWaiter // recycled waiters (and their doorbells)
 }
 
-func (g *detGate) enqueue(w *gateWaiter) {
+// enqueue queues a waiter for (at, actor), reusing a recycled record.
+func (g *detGate) enqueue(at time.Time, actor string) *gateWaiter {
 	g.mu.Lock()
+	var w *gateWaiter
+	if n := len(g.free); n > 0 {
+		w = g.free[n-1]
+		g.free[n-1] = nil
+		g.free = g.free[:n-1]
+	} else {
+		w = &gateWaiter{}
+	}
+	w.at, w.actor = at, actor
 	i := 0
 	for i < len(g.waiters) && (g.waiters[i].at.Before(w.at) ||
 		(g.waiters[i].at.Equal(w.at) && g.waiters[i].actor < w.actor)) {
@@ -73,11 +81,12 @@ func (g *detGate) enqueue(w *gateWaiter) {
 	copy(g.waiters[i+1:], g.waiters[i:])
 	g.waiters[i] = w
 	g.mu.Unlock()
+	return w
 }
 
 // tryAdmit pops every queue head an open slot can take — a whole run
-// of same-window arrivals in one pass — and signals each admitted
-// waiter's ready channel. Caller holds g.mu.
+// of same-window arrivals in one pass — and rings each admitted
+// waiter's doorbell. Caller holds g.mu.
 func (g *detGate) tryAdmit() {
 	slots := g.capacity
 	if slots < 1 {
@@ -89,7 +98,8 @@ func (g *detGate) tryAdmit() {
 		g.waiters[n] = nil
 		n++
 		g.running++
-		w.ready <- struct{}{}
+		w.admitted = true
+		w.bell.Ring()
 	}
 	if n > 0 {
 		rem := copy(g.waiters, g.waiters[n:])
@@ -102,14 +112,10 @@ func (g *detGate) tryAdmit() {
 }
 
 // run executes fn once admitted. All waits go through the clock
-// (Sleep, Block-bracketed channel receives) so a VirtualClock sees
-// queued goroutines as parked and advances virtual time
-// deterministically.
+// (Sleep, the waiter's doorbell) so a VirtualClock sees queued
+// goroutines as parked and advances virtual time deterministically.
 func (g *detGate) run(clk simnet.Clock, actor string, fn func()) {
-	w := gateWaiterPool.Get().(*gateWaiter)
-	w.at = clk.Now()
-	w.actor = actor
-	g.enqueue(w)
+	w := g.enqueue(clk.Now(), actor)
 	if _, virtual := clk.(*simnet.VirtualClock); virtual {
 		// Same-instant arrivals finish enqueueing before admission
 		// order is decided. Only a virtual clock has the quiescence
@@ -118,22 +124,21 @@ func (g *detGate) run(clk simnet.Clock, actor string, fn func()) {
 		clk.Sleep(gateEpsilon)
 	}
 	g.mu.Lock()
-	g.tryAdmit()
-	g.mu.Unlock()
-	select {
-	case <-w.ready:
-		// Admitted in our own pass (or by a peer before we got here).
-	default:
-		clk.Block()
-		<-w.ready
-		clk.Unblock()
+	g.tryAdmit() // may admit us (or a peer did before we got here)
+	for !w.admitted {
+		seq := w.bell.Seq()
+		g.mu.Unlock()
+		w.bell.Wait(clk, seq, nil)
+		g.mu.Lock()
 	}
+	g.mu.Unlock()
 
 	fn()
 
 	g.mu.Lock()
 	g.running--
 	g.tryAdmit()
+	w.admitted = false
+	g.free = append(g.free, w)
 	g.mu.Unlock()
-	gateWaiterPool.Put(w)
 }

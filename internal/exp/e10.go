@@ -260,7 +260,7 @@ func runE10World(seed int64, n int, cfg e10Config) (e10Point, error) {
 	tEnd := t0.Add(e10JoinStart + e10JoinWindow + e10Margin)
 	numPolls := int((e10JoinStart+e10JoinWindow+e10Margin-e10PollStart)/e10PollPeriod) + 1
 
-	var wg sync.WaitGroup
+	var wg simnet.WaitGroup
 	var firstErr error
 	var errMu sync.Mutex
 	fail := func(err error) {
@@ -338,9 +338,7 @@ func runE10World(seed int64, n int, cfg e10Config) (e10Point, error) {
 		}
 	})
 
-	clk.Block()
-	wg.Wait()
-	clk.Unblock()
+	wg.Wait(clk)
 	if firstErr != nil {
 		return pt, firstErr
 	}
@@ -453,9 +451,7 @@ func runE10World(seed int64, n int, cfg e10Config) (e10Point, error) {
 			}
 		})
 	}
-	clk.Block()
-	wg.Wait()
-	clk.Unblock()
+	wg.Wait(clk)
 	if firstErr != nil {
 		return pt, firstErr
 	}

@@ -187,7 +187,7 @@ func e2bWorld(r *e2bRun, packets int, seed int64) error {
 	clk := n.Clock()
 	payload := make([]byte, e2bPayloadBytes)
 	var (
-		wg      sync.WaitGroup
+		wg      simnet.WaitGroup
 		mu      sync.Mutex
 		longest time.Duration
 		okTotal int
@@ -210,9 +210,7 @@ func e2bWorld(r *e2bRun, packets int, seed int64) error {
 			}
 		})
 	}
-	clk.Block()
-	wg.Wait()
-	clk.Unblock()
+	wg.Wait(clk)
 	if firstE != nil {
 		return firstE
 	}

@@ -157,7 +157,7 @@ func runDLTEStorm(nAP int, seed int64, shards int) (p50, p99 float64, coreMsgs u
 		aps = append(aps, ap)
 	}
 	hist := metrics.NewHistogram()
-	var wg sync.WaitGroup
+	var wg simnet.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
 	for i, ap := range aps {
@@ -195,9 +195,7 @@ func runDLTEStorm(nAP int, seed int64, shards int) (p50, p99 float64, coreMsgs u
 		}
 	}
 	clk := s.Clock()
-	clk.Block()
-	wg.Wait()
-	clk.Unblock()
+	wg.Wait(clk)
 	if firstErr != nil {
 		return 0, 0, 0, firstErr
 	}
@@ -252,7 +250,7 @@ func runCentralStorm(nAP int, seed int64, shards, procs int) (p50, p99 float64, 
 	}
 
 	hist := metrics.NewHistogram()
-	var wg sync.WaitGroup
+	var wg simnet.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
 	for i := range sites {
@@ -287,9 +285,7 @@ func runCentralStorm(nAP int, seed int64, shards, procs int) (p50, p99 float64, 
 		}
 	}
 	clk := n.Clock()
-	clk.Block()
-	wg.Wait()
-	clk.Unblock()
+	wg.Wait(clk)
 	if firstErr != nil {
 		return 0, 0, 0, firstErr
 	}

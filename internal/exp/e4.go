@@ -189,31 +189,43 @@ func runRoam(seed int64, ottOneWayMs int, mode transport.Mode, shards int) (roam
 	clk := s.Clock()
 	// Probe loop: send seq, count echoes, track the largest gap.
 	const probePeriod = 10 * time.Millisecond
+	// Echo arrival instants queue on echoes; echoBell rings per echo
+	// and stopBell per closed stop channel, so every wait below parks
+	// through the clock.
 	echoes := make(chan time.Time, 1024)
-	clk.Go(func() {
-		for {
-			if _, rerr := cli.Recv(5 * time.Second); rerr != nil {
-				return
-			}
-			select {
-			case echoes <- clk.Now():
-			default:
+	var echoBell, stopBell simnet.Bell
+	echoLoop := func(c *transport.Client) func() {
+		return func() {
+			for {
+				if _, rerr := c.Recv(5 * time.Second); rerr != nil {
+					return
+				}
+				select {
+				case echoes <- clk.Now():
+					echoBell.Ring()
+				default:
+				}
 			}
 		}
-	})
+	}
+	clk.Go(echoLoop(cli))
 	stop := make(chan struct{})
+	stopProbes := func() {
+		close(stop)
+		stopBell.Ring()
+	}
 	probeLoop := func(stopCh chan struct{}, c *transport.Client) func() {
 		return func() {
 			t := clk.NewTicker(probePeriod)
 			defer t.Stop()
 			for {
-				clk.Block()
+				seq := stopBell.Seq()
 				select {
 				case <-stopCh:
-					clk.Unblock()
 					return
-				case <-t.C:
-					clk.Unblock()
+				default:
+				}
+				if !stopBell.Wait(clk, seq, t) {
 					c.Send([]byte("probe"))
 				}
 			}
@@ -222,7 +234,7 @@ func runRoam(seed int64, ottOneWayMs int, mode transport.Mode, shards int) (roam
 	clk.Go(probeLoop(stop, cli))
 
 	// Warm up, then roam.
-	drainUntil(clk, echoes, 400*time.Millisecond)
+	drainUntil(clk, echoes, &echoBell, 400*time.Millisecond)
 	aps[0].Mobility.Prepare("ap2", d.Publication(), -101)
 	// Flush any echo that slipped in between warm-up and the roam so
 	// the first item on the channel is genuinely post-roam.
@@ -236,7 +248,7 @@ func runRoam(seed int64, ottOneWayMs int, mode transport.Mode, shards int) (roam
 	}
 	lastBefore := clk.Now()
 	if _, err := d.Attach(aps[1].AirAddr(), 15*time.Second); err != nil {
-		close(stop)
+		stopProbes()
 		return out, fmt.Errorf("re-attach: %w", err)
 	}
 
@@ -253,46 +265,40 @@ func runRoam(seed int64, ottOneWayMs int, mode transport.Mode, shards int) (roam
 		// Tear the dead connection down completely before redialing:
 		// its reader would otherwise keep consuming bearer packets
 		// meant for the new connection.
-		close(stop)
+		stopProbes()
 		stop = make(chan struct{})
 		cli.Close()
 		cli2, rerr := transport.Dial(d.Bearer(), simnet.Addr{Host: "ott", Port: 7000},
 			transport.DialConfig{Mode: mode, Timeout: 15 * time.Second})
 		if rerr != nil {
-			close(stop)
+			stopProbes()
 			return out, fmt.Errorf("legacy redial: %w", rerr)
 		}
 		defer cli2.Close()
 		cli2.Send([]byte("probe"))
-		clk.Go(func() {
-			for {
-				if _, rerr := cli2.Recv(5 * time.Second); rerr != nil {
-					return
-				}
-				select {
-				case echoes <- clk.Now():
-				default:
-				}
-			}
-		})
+		clk.Go(echoLoop(cli2))
 	}
 
 	// First echo after the roam bounds the disruption.
 	var firstAfter time.Time
 	giveUp := clk.NewTimer(10 * time.Second)
-	clk.Block()
-	select {
-	case firstAfter = <-echoes:
-		clk.Unblock()
-		giveUp.Stop()
-	case <-giveUp.C:
-		clk.Unblock()
-		close(stop)
-		out.survived = false
-		out.disruptionMs = 10000
-		return out, nil
+	for got := false; !got; {
+		seq := echoBell.Seq()
+		select {
+		case firstAfter = <-echoes:
+			giveUp.Stop()
+			got = true
+			continue
+		default:
+		}
+		if !echoBell.Wait(clk, seq, giveUp) {
+			stopProbes()
+			out.survived = false
+			out.disruptionMs = 10000
+			return out, nil
+		}
 	}
-	close(stop)
+	stopProbes()
 	out.survived = true
 	out.disruptionMs = ms(firstAfter.Sub(lastBefore))
 	st := cli.Stats()
@@ -300,17 +306,17 @@ func runRoam(seed int64, ottOneWayMs int, mode transport.Mode, shards int) (roam
 	return out, nil
 }
 
-// drainUntil consumes echo timestamps for the given duration.
-func drainUntil(clk simnet.Clock, ch chan time.Time, d time.Duration) {
+// drainUntil consumes echo timestamps (announced on bell) for the
+// given duration.
+func drainUntil(clk simnet.Clock, ch chan time.Time, bell *simnet.Bell, d time.Duration) {
 	deadline := clk.NewTimer(d)
 	defer deadline.Stop()
 	for {
-		clk.Block()
-		select {
-		case <-ch:
-			clk.Unblock()
-		case <-deadline.C:
-			clk.Unblock()
+		seq := bell.Seq()
+		for len(ch) > 0 {
+			<-ch
+		}
+		if !bell.Wait(clk, seq, deadline) {
 			return
 		}
 	}

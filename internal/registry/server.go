@@ -123,10 +123,13 @@ func (s *Server) handle(fc *wire.FrameConn, req request, cs *connState) error {
 func (s *Server) serveSubscription(c net.Conn, fc *wire.FrameConn, fromRev uint64) {
 	clk := simnet.ClockOf(c)
 	done := make(chan struct{})
+	watch := s.store.Watch()
 	// The subscriber sends nothing after opSubscribe; this reader exists
 	// to observe the close. It parks in conn.Read, which handles its own
-	// busy/blocked accounting.
+	// busy/blocked accounting, and rings the store's doorbell on exit so
+	// a pusher parked there sees done.
 	clk.Go(func() {
+		defer watch.Ring()
 		defer close(done)
 		for {
 			b, err := fc.RecvOwned()
@@ -140,22 +143,17 @@ func (s *Server) serveSubscription(c net.Conn, fc *wire.FrameConn, fromRev uint6
 	var scratch []Delta
 	live := false
 	for {
-		// Grab the wakeup channel before comparing revisions so a
-		// mutation landing in between still wakes us.
-		ch := s.store.Watch()
+		// Read the ring count before comparing revisions so a mutation
+		// landing in between still wakes us.
+		seq := watch.Seq()
+		select {
+		case <-done:
+			return
+		default:
+		}
 		if s.store.Revision() == rev {
 			live = true // caught up; everything later is the live feed
-			clk.Block()
-			select {
-			case <-ch:
-			case <-done:
-			}
-			clk.Unblock()
-			select {
-			case <-done:
-				return
-			default:
-			}
+			watch.Wait(clk, seq, nil)
 			continue
 		}
 		ds, ok := s.store.DeltasSince(rev, scratch[:0])

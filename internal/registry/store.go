@@ -8,6 +8,7 @@ import (
 
 	"dlte/internal/auth"
 	"dlte/internal/geo"
+	"dlte/internal/simnet"
 
 	"slices"
 )
@@ -57,7 +58,7 @@ type Store struct {
 	keySnap atomic.Pointer[keySnapshot]
 
 	log   deltaLog
-	watch chan struct{} // closed and replaced on every mutation; nil until first Watch
+	watch simnet.Bell // rung on every mutation
 }
 
 // apSnapshot is an immutable view of the AP table at apRev: the shared
@@ -90,23 +91,15 @@ func NewStore() *Store {
 func (s *Store) bump(d Delta) {
 	d.Rev = s.rev.Add(1)
 	s.log.push(d)
-	if s.watch != nil {
-		close(s.watch)
-		s.watch = nil
-	}
+	s.watch.Ring()
 }
 
-// Watch returns a channel closed on the next mutation. Subscription
-// pushers grab the channel, compare revisions, and block on it only if
-// already caught up (the grab-before-compare order avoids lost wakeups).
-func (s *Store) Watch() <-chan struct{} {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.watch == nil {
-		s.watch = make(chan struct{})
-	}
-	return s.watch
-}
+// Watch returns the doorbell rung on every mutation. Subscription
+// pushers read its Seq, compare revisions, and park on it only if
+// already caught up (the read-before-compare order avoids lost
+// wakeups); under a virtual clock the ring hands the pusher its busy
+// slot, so a delta is pushed at the instant of its mutation.
+func (s *Store) Watch() *simnet.Bell { return &s.watch }
 
 // Join registers (or updates) an AP record. Joining is open: any
 // record with an ID and band is accepted — the paper's organic-growth

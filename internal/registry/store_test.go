@@ -193,24 +193,24 @@ func TestDeltaLogAgesOut(t *testing.T) {
 	}
 }
 
-// TestWatch verifies the mutation wakeup channel semantics the
+// TestWatch verifies the mutation wakeup doorbell semantics the
 // subscription pusher relies on.
 func TestWatch(t *testing.T) {
 	s := NewStore()
-	ch := s.Watch()
-	select {
-	case <-ch:
-		t.Fatal("watch channel closed before any mutation")
-	default:
+	b := s.Watch()
+	seq := b.Seq()
+	if b.Seq() != seq {
+		t.Fatal("watch doorbell rang before any mutation")
 	}
-	if ch2 := s.Watch(); ch2 != ch {
-		t.Fatal("Watch between mutations returned a different channel")
+	if b2 := s.Watch(); b2 != b {
+		t.Fatal("Watch between mutations returned a different doorbell")
 	}
 	seedGrid(t, s, 1)
-	select {
-	case <-ch:
-	default:
-		t.Fatal("watch channel not closed by a mutation")
+	if b.Seq() == seq {
+		t.Fatal("watch doorbell not rung by a mutation")
+	}
+	if !b.Wait(simnet.Wall, seq, nil) {
+		t.Fatal("wait on a doorbell rung since seq did not return at once")
 	}
 }
 

@@ -21,11 +21,17 @@ import "time"
 //     Go, never with a bare `go` statement (a VirtualClock counts
 //     runnable goroutines; an uncounted one makes time advance while
 //     work is still pending).
-//   - Wrap every blocking operation the clock cannot see — a channel
-//     select, sync.Cond.Wait, WaitGroup.Wait, mutex acquisition that
-//     can stall — in Block/Unblock, and take any timeout channels in
-//     that select from NewTimer/After on the same clock.
+//   - Park only through the clock: Sleep, a simnet read, or a Bell
+//     (WaitGroup for joins), with any timeout taken from NewTimer or
+//     NewTicker on the same clock as the wait's alarm. A Bell wake
+//     hands the woken goroutine the VirtualClock's busy slot, so
+//     virtual time cannot move before it runs.
 //   - Derive deadlines from Now on the same clock, never time.Now.
+//
+// Block/Unblock bracket a wait on something the clock cannot see (a
+// bare channel, a cond). Such a wake is not handed over: the clock only
+// catches it if the woken goroutine is scheduled within its bounded
+// settle round, so production code uses a Bell instead.
 //
 // WallClock implements Block/Unblock/Go as no-ops/bare spawns, so
 // code written against the contract behaves identically on real time.
@@ -48,9 +54,9 @@ type Clock interface {
 	// Go runs fn on a new goroutine registered with the clock.
 	Go(fn func())
 	// Block declares that the calling goroutine is about to wait on
-	// something the clock cannot observe (a channel, a cond, a
-	// WaitGroup). It must be paired with Unblock when the goroutine
-	// resumes.
+	// something the clock cannot observe (a channel, a cond). It must
+	// be paired with Unblock when the goroutine resumes. Prefer a Bell,
+	// whose wakes the clock sees.
 	Block()
 	// Unblock declares that the goroutine blocked via Block is
 	// runnable again.
@@ -62,6 +68,7 @@ type Clock interface {
 type Timer struct {
 	C    <-chan time.Time
 	stop func() bool
+	vw   *vwaiter // VirtualClock entry; lets a Bell wait use it as an alarm
 }
 
 // Stop cancels the timer. It reports whether the call prevented the
@@ -77,6 +84,7 @@ func (t *Timer) Stop() bool {
 type Ticker struct {
 	C    <-chan time.Time
 	stop func()
+	vw   *vwaiter // VirtualClock entry; lets a Bell wait use it as an alarm
 }
 
 // Stop turns off the ticker.
@@ -92,10 +100,10 @@ var Wall Clock = wallClock{}
 // wallClock adapts the time package to the Clock interface.
 type wallClock struct{}
 
-func (wallClock) Now() time.Time                       { return time.Now() }
-func (wallClock) Since(t time.Time) time.Duration      { return time.Since(t) }
-func (wallClock) Until(t time.Time) time.Duration      { return time.Until(t) }
-func (wallClock) Sleep(d time.Duration)                { time.Sleep(d) }
+func (wallClock) Now() time.Time                         { return time.Now() }
+func (wallClock) Since(t time.Time) time.Duration        { return time.Since(t) }
+func (wallClock) Until(t time.Time) time.Duration        { return time.Until(t) }
+func (wallClock) Sleep(d time.Duration)                  { time.Sleep(d) }
 func (wallClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 func (wallClock) NewTimer(d time.Duration) *Timer {

@@ -38,6 +38,12 @@ type halfPipe struct {
 	closed     chan struct{}
 	once       sync.Once
 
+	// bell rings on every legacy enqueue and on close: a Read parked on
+	// it gets its busy slot back from the writer, so the wake cannot
+	// race the virtual clock. space rings on every legacy dequeue and on
+	// close, for a Write parked on a full queue.
+	bell, space Bell
+
 	// dc is the receiver's dispatch endpoint. Written under mu (so
 	// installation can migrate buffered chunks atomically against
 	// writers); read lock-free on the write fast path.
@@ -49,7 +55,11 @@ func newHalfPipe() *halfPipe {
 }
 
 func (p *halfPipe) close() {
-	p.once.Do(func() { close(p.closed) })
+	p.once.Do(func() {
+		close(p.closed)
+		p.bell.Ring()
+		p.space.Ring()
+	})
 }
 
 // engage returns the legacy delivery channel, allocating it and
@@ -101,6 +111,20 @@ func (d *deadline) get() time.Time {
 	return d.t
 }
 
+// alarm arms a Timer on clk that fires at the deadline. It returns the
+// deadline, a nil Timer when none is set, and expired=true when the
+// deadline has already passed.
+func (d *deadline) alarm(clk Clock) (dl time.Time, t *Timer, expired bool) {
+	if dl = d.get(); dl.IsZero() {
+		return dl, nil, false
+	}
+	wait := clk.Until(dl)
+	if wait <= 0 {
+		return dl, nil, true
+	}
+	return dl, clk.NewTimer(wait), false
+}
+
 // newConnPair wires two Conns back to back across the network's links.
 func newConnPair(n *Network, local, remote Addr) (*Conn, *Conn) {
 	aToB := newHalfPipe()
@@ -124,7 +148,7 @@ func newConnPair(n *Network, local, remote Addr) (*Conn, *Conn) {
 // installation the blocking Read path must not be used again. The
 // caller must be a clock-registered goroutine, and h must not block on
 // clock waits (no Sleep, no blocking simnet reads); a handler that
-// wakes other goroutines through plain channels must call Poke.
+// wakes another goroutine must do so by ringing a Bell it waits on.
 func (c *Conn) OnDeliver(h func(data []byte), onClose func()) {
 	d := c.network.dispatcherFor()
 	dc := d.register()
@@ -221,42 +245,39 @@ func (c *Conn) Read(b []byte) (int, error) {
 	clk := c.network.clock
 	queue := c.rx.engage()
 
-	// Fast path: a chunk is already queued; no need to park.
-	select {
-	case ch := <-queue:
-		return c.deliver(ch, b, nil), nil
-	default:
-	}
-
 	var timer *Timer
-	var deadlineC <-chan time.Time
-	if dl := c.readDeadline.get(); !dl.IsZero() {
-		wait := clk.Until(dl)
-		if wait <= 0 {
-			return 0, ErrDeadline
-		}
-		timer = clk.NewTimer(wait)
-		deadlineC = timer.C
-		defer timer.Stop()
-	}
-
-	clk.Block()
-	select {
-	case ch := <-queue:
-		clk.Unblock()
-		return c.deliver(ch, b, deadlineC), nil
-	case <-c.rx.closed:
-		clk.Unblock()
-		// Drain anything queued before the close won the race.
+	var dl time.Time
+	for {
+		seq := c.rx.bell.Seq()
 		select {
 		case ch := <-queue:
-			return c.deliver(ch, b, deadlineC), nil
+			c.rx.space.Ring()
+			return c.deliver(ch, b, dl), nil
 		default:
-			return 0, io.EOF
 		}
-	case <-deadlineC:
-		clk.Unblock()
-		return 0, ErrDeadline
+		select {
+		case <-c.rx.closed:
+			// Drain anything queued before the close won the race.
+			select {
+			case ch := <-queue:
+				return c.deliver(ch, b, dl), nil
+			default:
+				return 0, io.EOF
+			}
+		default:
+		}
+		if timer == nil {
+			var expired bool
+			if dl, timer, expired = c.readDeadline.alarm(clk); expired {
+				return 0, ErrDeadline
+			}
+			if timer != nil {
+				defer timer.Stop()
+			}
+		}
+		if !c.rx.bell.Wait(clk, seq, timer) {
+			return 0, ErrDeadline
+		}
 	}
 }
 
@@ -264,8 +285,8 @@ func (c *Conn) Read(b []byte) (int, error) {
 // bytes into b, stashing any remainder as pending. A fully consumed
 // chunk's buffer goes back to the payload pool; a partially consumed
 // one is recycled once the pending remainder drains.
-func (c *Conn) deliver(ch chunk, b []byte, deadlineC <-chan time.Time) int {
-	c.holdUntil(ch, deadlineC)
+func (c *Conn) deliver(ch chunk, b []byte, dl time.Time) int {
+	c.holdUntil(ch, dl)
 	c.rx.mu.Lock()
 	n := copy(b, ch.data)
 	if n < len(ch.data) {
@@ -278,27 +299,24 @@ func (c *Conn) deliver(ch chunk, b []byte, deadlineC <-chan time.Time) int {
 	return n
 }
 
-// holdUntil sleeps until the delivery instant, or returns early if the
-// deadline channel fires (the data stays consumed: real kernels would
-// have buffered it, and our single-reader protocols never rely on
-// post-deadline re-reads).
-func (c *Conn) holdUntil(ch chunk, deadlineC <-chan time.Time) {
+// holdUntil sleeps until the delivery instant, or until the read
+// deadline dl if that comes first (the data stays consumed: real
+// kernels would have buffered it, and our single-reader protocols
+// never rely on post-deadline re-reads).
+func (c *Conn) holdUntil(ch chunk, dl time.Time) {
+	at := ch.at
+	if !dl.IsZero() && !at.IsZero() && dl.Before(at) {
+		at = dl
+	}
 	if vc, ok := c.network.clock.(*VirtualClock); ok {
-		vc.holdDelivery(ch.bar, ch.at, deadlineC)
+		vc.holdDelivery(ch.bar, at)
 		return
 	}
-	if ch.at.IsZero() {
+	if at.IsZero() {
 		return // immediate delivery; no clock read
 	}
-	wait := time.Until(ch.at)
-	if wait <= 0 {
-		return
-	}
-	t := time.NewTimer(wait)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-deadlineC:
+	if wait := time.Until(at); wait > 0 {
+		time.Sleep(wait)
 	}
 }
 
@@ -351,48 +369,50 @@ func (c *Conn) Write(b []byte) (int, error) {
 		// Receiver not engaged yet: buffer in write order.
 		p.preq = append(p.preq, ch)
 		p.mu.Unlock()
-		c.network.noteLegacyDelivery()
+		c.network.legacyDeliveries.Add(1)
 		return len(b), nil
 	}
 	queue := p.queue
 	select {
 	case queue <- ch:
 		p.mu.Unlock()
-		c.network.noteLegacyDelivery()
+		c.network.legacyDeliveries.Add(1)
+		p.bell.Ring()
 		return len(b), nil
 	default:
 	}
 	p.mu.Unlock()
 
-	var deadlineC <-chan time.Time
-	if dl := c.writeDeadline.get(); !dl.IsZero() {
-		wait := clk.Until(dl)
-		if wait <= 0 {
+	// Queue full: park until the reader frees a slot, the pipe closes,
+	// or the write deadline fires.
+	var timer *Timer
+	for {
+		seq := p.space.Seq()
+		select {
+		case queue <- ch:
+			c.network.legacyDeliveries.Add(1)
+			p.bell.Ring()
+			return len(b), nil
+		default:
+		}
+		select {
+		case <-c.tx.closed:
+			c.releaseBarrier(ch.bar)
+			payloadPut(data)
+			return 0, ErrClosed
+		default:
+		}
+		expired := false
+		if timer == nil {
+			if _, timer, expired = c.writeDeadline.alarm(clk); timer != nil {
+				defer timer.Stop()
+			}
+		}
+		if expired || !p.space.Wait(clk, seq, timer) {
 			c.releaseBarrier(ch.bar)
 			payloadPut(data)
 			return 0, ErrDeadline
 		}
-		t := clk.NewTimer(wait)
-		deadlineC = t.C
-		defer t.Stop()
-	}
-
-	clk.Block()
-	select {
-	case queue <- ch:
-		clk.Unblock()
-		c.network.noteLegacyDelivery()
-		return len(b), nil
-	case <-c.tx.closed:
-		clk.Unblock()
-		c.releaseBarrier(ch.bar)
-		payloadPut(data)
-		return 0, ErrClosed
-	case <-deadlineC:
-		clk.Unblock()
-		c.releaseBarrier(ch.bar)
-		payloadPut(data)
-		return 0, ErrDeadline
 	}
 }
 

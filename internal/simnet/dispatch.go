@@ -118,12 +118,6 @@ type dispatcher struct {
 	scratch []vrec
 	pending atomic.Int64
 
-	// woke notes that a delivery batch did something the quiescence
-	// detector cannot see on its own — a legacy channel enqueue or an
-	// explicit Poke — so the advancer must run a settle round before
-	// moving time again.
-	woke atomic.Bool
-
 	connSeq atomic.Uint64
 
 	dispatches atomic.Uint64 // handler deliveries run (ExecStats)
@@ -268,13 +262,9 @@ func (d *dispatcher) flush() {
 // run-to-completion: each sub-batch is sorted by conn ID (write order
 // within a conn is already preserved by wheel seq order), handlers run
 // in that order, and deliveries they schedule for the same instant form
-// the next sub-batch until the instant drains. It reports whether the
-// batch might have made a registered goroutine runnable (a legacy
-// enqueue or Poke happened), which tells the advancer whether the next
-// step needs a settle round. Called by the advancer with the clock's
-// mutex released and virtual time already at `at`.
-func (d *dispatcher) runAt(at time.Duration) bool {
-	d.woke.Store(false)
+// the next sub-batch until the instant drains. Called by the advancer
+// with the clock's mutex released and virtual time already at `at`.
+func (d *dispatcher) runAt(at time.Duration) {
 	for {
 		d.mu.Lock()
 		d.batch = d.batch[:0]
@@ -310,7 +300,6 @@ func (d *dispatcher) runAt(at time.Duration) bool {
 			d.deliver(&d.scratch[i])
 		}
 	}
-	return d.woke.Load()
 }
 
 // stableSortByConn orders a sub-batch by conn ID, preserving input
@@ -353,25 +342,6 @@ func (d *dispatcher) deliver(r *vrec) {
 		dc.onData(r.data)
 	}
 	payloadPut(r.data)
-}
-
-// noteLegacyWake records a legacy channel enqueue. If it happened
-// inside a dispatch batch, the receiver may have become runnable in a
-// way quiescence counting cannot see, so the advancer must settle
-// before moving time.
-func (d *dispatcher) noteLegacyWake() {
-	d.woke.Store(true)
-}
-
-// Poke tells a virtual clock that the calling handler made a goroutine
-// runnable through something other than a simnet write — a send on an
-// application channel, a cond broadcast — so the clock must settle the
-// scheduler before advancing time. Handlers that only write simnet
-// conns never need it; it is a no-op on wall clocks.
-func Poke(clk Clock) {
-	if vc, ok := clk.(*VirtualClock); ok {
-		vc.Poke()
-	}
 }
 
 // --- Wall engine -----------------------------------------------------
@@ -644,13 +614,4 @@ func (n *Network) ExecStats() ExecStats {
 		s.GoroutineParks = vc.parks.Load()
 	}
 	return s
-}
-
-// noteLegacyDelivery counts a legacy channel enqueue and, when a
-// dispatch batch is running, flags the wake for the advancer.
-func (n *Network) noteLegacyDelivery() {
-	n.legacyDeliveries.Add(1)
-	if d := n.disp.Load(); d != nil {
-		d.noteLegacyWake()
-	}
 }

@@ -62,10 +62,8 @@ func (h *Host) Listen(port int) (*Listener, error) {
 		return nil, fmt.Errorf("%w: %s:%d", ErrPortInUse, h.name, port)
 	}
 	l := &Listener{
-		host:   h,
-		addr:   Addr{Host: h.name, Port: port},
-		accept: make(chan *Conn, 64),
-		done:   make(chan struct{}),
+		host: h,
+		addr: Addr{Host: h.name, Port: port},
 	}
 	h.listeners[port] = l
 	return l, nil
@@ -114,18 +112,8 @@ func (h *Host) Dial(addr string) (net.Conn, error) {
 		if delay > 0 {
 			clk.Sleep(delay)
 		}
-		select {
-		case l.accept <- srvConn:
-		case <-l.done:
+		if !l.push(srvConn) {
 			cliConn.Close()
-		default:
-			clk.Block()
-			select {
-			case l.accept <- srvConn:
-			case <-l.done:
-				cliConn.Close()
-			}
-			clk.Unblock()
 		}
 	})
 	return cliConn, nil
@@ -191,29 +179,52 @@ func (h *Host) closeAll() {
 
 // Listener accepts stream connections on a host port.
 type Listener struct {
-	host   *Host
-	addr   Addr
-	accept chan *Conn
+	host *Host
+	addr Addr
 
-	closeOnce sync.Once
-	done      chan struct{}
+	mu      sync.Mutex
+	backlog []*Conn // arrived, not yet accepted, in arrival order from head
+	head    int
+	closed  bool
+	bell    Bell // rings on every arrival and on Close
+}
+
+// push queues an arrived connection, reporting false if the listener
+// is closed.
+func (l *Listener) push(c *Conn) bool {
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return false
+	}
+	l.backlog = append(l.backlog, c)
+	l.mu.Unlock()
+	l.bell.Ring()
+	return true
 }
 
 // Accept waits for the next inbound connection.
 func (l *Listener) Accept() (net.Conn, error) {
-	select {
-	case c := <-l.accept:
-		return c, nil
-	default:
-	}
 	clk := l.host.net.clock
-	clk.Block()
-	defer clk.Unblock()
-	select {
-	case c := <-l.accept:
-		return c, nil
-	case <-l.done:
-		return nil, ErrClosed
+	for {
+		seq := l.bell.Seq()
+		l.mu.Lock()
+		if l.head < len(l.backlog) {
+			c := l.backlog[l.head]
+			l.backlog[l.head] = nil
+			l.head++
+			if l.head == len(l.backlog) {
+				l.backlog, l.head = l.backlog[:0], 0
+			}
+			l.mu.Unlock()
+			return c, nil
+		}
+		closed := l.closed
+		l.mu.Unlock()
+		if closed {
+			return nil, ErrClosed
+		}
+		l.bell.Wait(clk, seq, nil)
 	}
 }
 
@@ -223,11 +234,18 @@ func (l *Listener) Clock() Clock { return l.host.net.clock }
 // Addr reports the listening address.
 func (l *Listener) Addr() net.Addr { return l.addr }
 
-// Close stops the listener. Established connections are unaffected.
+// Close stops the listener. Established connections are unaffected;
+// dials still in flight are refused.
 func (l *Listener) Close() error {
-	l.closeOnce.Do(func() {
-		close(l.done)
-		l.host.removeListener(l.addr.Port)
-	})
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return nil
+	}
+	l.closed = true
+	l.backlog, l.head = nil, 0
+	l.mu.Unlock()
+	l.host.removeListener(l.addr.Port)
+	l.bell.Ring()
 	return nil
 }

@@ -38,6 +38,7 @@ type PacketConn struct {
 	imu    sync.Mutex
 	prebox []datagram
 	inbox  chan datagram // legacy path; nil until a reader engages
+	bell   Bell          // rings on every inbox enqueue and on Close
 
 	// dc is the receiver's dispatch endpoint. Written under imu; read
 	// lock-free on the send fast path.
@@ -98,8 +99,7 @@ func (p *PacketConn) LocalAddr() net.Addr { return p.addr }
 // dispatcher and valid only for the duration of the call. Packets
 // already buffered are re-registered at their original delivery
 // instants. The same handler contract as Conn.OnDeliver applies: no
-// clock waits inside h, and Poke after waking goroutines through
-// channels the clock cannot see.
+// clock waits inside h, and wakes go through a Bell.
 func (p *PacketConn) SetHandler(h func(data []byte, from net.Addr)) {
 	d := p.host.net.dispatcherFor()
 	dc := d.register()
@@ -189,7 +189,7 @@ func (p *PacketConn) queueTo(dst *PacketConn, data []byte, delay time.Duration) 
 		if len(dst.prebox) < inboxDepth {
 			dst.prebox = append(dst.prebox, dg)
 			dst.imu.Unlock()
-			p.host.net.noteLegacyDelivery()
+			p.host.net.legacyDeliveries.Add(1)
 			return
 		}
 		dst.imu.Unlock()
@@ -197,7 +197,8 @@ func (p *PacketConn) queueTo(dst *PacketConn, data []byte, delay time.Duration) 
 		select {
 		case dst.inbox <- dg:
 			dst.imu.Unlock()
-			p.host.net.noteLegacyDelivery()
+			p.host.net.legacyDeliveries.Add(1)
+			dst.bell.Ring()
 			return
 		default:
 			dst.imu.Unlock()
@@ -293,44 +294,13 @@ func (p *PacketConn) WriteOwnedTo(b []byte, addr net.Addr) (int, error) {
 // ReadFrom receives the next datagram, blocking until one is
 // deliverable, the socket closes, or the read deadline fires.
 func (p *PacketConn) ReadFrom(b []byte) (int, net.Addr, error) {
-	clk := p.host.net.clock
-	inbox := p.engage()
-
-	// Fast path: a datagram is already queued; no need to park.
-	select {
-	case dg := <-inbox:
-		p.holdUntil(dg, nil)
-		n := copy(b, dg.data)
-		payloadPut(dg.data)
-		return n, dg.from, nil
-	default:
+	dg, err := p.recv()
+	if err != nil {
+		return 0, nil, err
 	}
-
-	var deadlineC <-chan time.Time
-	if dl := p.readDeadline.get(); !dl.IsZero() {
-		wait := clk.Until(dl)
-		if wait <= 0 {
-			return 0, nil, ErrDeadline
-		}
-		t := clk.NewTimer(wait)
-		deadlineC = t.C
-		defer t.Stop()
-	}
-	clk.Block()
-	select {
-	case dg := <-inbox:
-		clk.Unblock()
-		p.holdUntil(dg, deadlineC)
-		n := copy(b, dg.data)
-		payloadPut(dg.data)
-		return n, dg.from, nil
-	case <-p.done:
-		clk.Unblock()
-		return 0, nil, ErrClosed
-	case <-deadlineC:
-		clk.Unblock()
-		return 0, nil, ErrDeadline
-	}
+	n := copy(b, dg.data)
+	payloadPut(dg.data)
+	return n, dg.from, nil
 }
 
 // ReadFromOwned receives the next datagram and returns its pooled
@@ -339,62 +309,67 @@ func (p *PacketConn) ReadFrom(b []byte) (int, net.Addr, error) {
 // PutPayload (or pass it on via WriteOwnedTo) exactly once. Deadline
 // and close behavior match ReadFrom.
 func (p *PacketConn) ReadFromOwned() ([]byte, net.Addr, error) {
+	dg, err := p.recv()
+	if err != nil {
+		return nil, nil, err
+	}
+	return dg.data, dg.from, nil
+}
+
+// recv takes the next datagram off the inbox, parking on the socket's
+// doorbell until one is queued, the socket closes, or the read
+// deadline fires, then waits out its link delay.
+func (p *PacketConn) recv() (datagram, error) {
 	clk := p.host.net.clock
 	inbox := p.engage()
-
-	// Fast path: a datagram is already queued; no need to park.
-	select {
-	case dg := <-inbox:
-		p.holdUntil(dg, nil)
-		return dg.data, dg.from, nil
-	default:
-	}
-
-	var deadlineC <-chan time.Time
-	if dl := p.readDeadline.get(); !dl.IsZero() {
-		wait := clk.Until(dl)
-		if wait <= 0 {
-			return nil, nil, ErrDeadline
+	var timer *Timer
+	var dl time.Time
+	for {
+		seq := p.bell.Seq()
+		select {
+		case dg := <-inbox:
+			p.holdUntil(dg, dl)
+			return dg, nil
+		default:
 		}
-		t := clk.NewTimer(wait)
-		deadlineC = t.C
-		defer t.Stop()
-	}
-	clk.Block()
-	select {
-	case dg := <-inbox:
-		clk.Unblock()
-		p.holdUntil(dg, deadlineC)
-		return dg.data, dg.from, nil
-	case <-p.done:
-		clk.Unblock()
-		return nil, nil, ErrClosed
-	case <-deadlineC:
-		clk.Unblock()
-		return nil, nil, ErrDeadline
+		select {
+		case <-p.done:
+			return datagram{}, ErrClosed
+		default:
+		}
+		if timer == nil {
+			var expired bool
+			if dl, timer, expired = p.readDeadline.alarm(clk); expired {
+				return datagram{}, ErrDeadline
+			}
+			if timer != nil {
+				defer timer.Stop()
+			}
+		}
+		if !p.bell.Wait(clk, seq, timer) {
+			return datagram{}, ErrDeadline
+		}
 	}
 }
 
-// holdUntil waits out the datagram's remaining link delay. The
-// datagram is consumed even if the deadline fires first; a real kernel
-// would have buffered it past the deadline too.
-func (p *PacketConn) holdUntil(dg datagram, deadlineC <-chan time.Time) {
+// holdUntil waits out the datagram's remaining link delay, or until
+// the read deadline dl if that comes first. The datagram is consumed
+// even if the deadline fires first; a real kernel would have buffered
+// it past the deadline too.
+func (p *PacketConn) holdUntil(dg datagram, dl time.Time) {
+	at := dg.at
+	if !dl.IsZero() && !at.IsZero() && dl.Before(at) {
+		at = dl
+	}
 	if vc, ok := p.host.net.clock.(*VirtualClock); ok {
-		vc.holdDelivery(dg.bar, dg.at, deadlineC)
+		vc.holdDelivery(dg.bar, at)
 		return
 	}
-	if dg.at.IsZero() {
+	if at.IsZero() {
 		return // immediate delivery; no clock read
 	}
-	wait := time.Until(dg.at)
-	if wait <= 0 {
-		return
-	}
-	t := time.NewTimer(wait)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-deadlineC:
+	if wait := time.Until(at); wait > 0 {
+		time.Sleep(wait)
 	}
 }
 
@@ -415,6 +390,7 @@ func (p *PacketConn) Close() error {
 			dc.d.markClosed(dc)
 		}
 		close(p.done)
+		p.bell.Ring()
 		p.host.removePacketConn(p.addr.Port)
 	})
 	return nil

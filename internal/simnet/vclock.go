@@ -11,18 +11,22 @@ import (
 // VirtualClock is a deterministic discrete-event Clock. It tracks how
 // many registered goroutines are runnable ("busy"); when that count
 // reaches zero the world is quiescent — everyone is parked in a clock
-// wait (Sleep, a Timer in a select, a Block-bracketed channel op) —
-// and a background advancer jumps virtual time straight to the next
-// timer's expiry and fires it. Simulated latencies therefore cost
-// microseconds of wall time instead of their face value, and two runs
-// with the same seed see the same virtual timeline.
+// wait (Sleep, a Bell, a delivery hold) — and a background advancer
+// jumps virtual time straight to the next timer's expiry and fires it.
+// Simulated latencies therefore cost microseconds of wall time instead
+// of their face value, and two runs with the same seed see the same
+// virtual timeline.
 //
-// Delivery barriers close the one race quiescence counting cannot see:
-// a packet already handed to a receiver's queue whose receiving
-// goroutine has not been rescheduled yet. The sender registers the
-// delivery instant as a barrier; the advancer never jumps past the
-// earliest barrier until the receiver has swapped it for a real timer
-// (holdDelivery) or the barrier's instant has been reached.
+// Every wake hands the busy slot to the woken goroutine under c.mu (a
+// fired Sleep or delivery hold, a Bell ring or alarm), so the count
+// never drops to zero between a wake and the moment the woken
+// goroutine runs.
+//
+// Delivery barriers keep time from jumping past a packet queued to a
+// legacy reader: the sender registers the delivery instant as a
+// barrier; the advancer never jumps past the earliest barrier until
+// the receiver has swapped it for a real timer (holdDelivery) or the
+// barrier's instant has been reached.
 //
 // The zero value is not usable; call NewVirtual. The goroutine that
 // creates the clock is the initial registered goroutine and must be
@@ -53,8 +57,11 @@ type VirtualClock struct {
 
 // vwaiter is one scheduled wakeup. Exactly one of wake/ch is set:
 // wake is a parked goroutine (the advancer transfers the busy slot to
-// it before closing the channel); ch is a Timer/Ticker target whose
-// receiver, if any, accounts for itself via Block/Unblock.
+// it before closing the channel); ch is a Timer/Ticker target. A Bell
+// wait using the Timer/Ticker as its alarm parks on it (parked): the
+// fire then hands the busy slot to that waiter instead of filling ch.
+// A receiver selecting on ch directly accounts for itself via
+// Block/Unblock.
 type vwaiter struct {
 	at     time.Duration
 	seq    uint64
@@ -62,6 +69,7 @@ type vwaiter struct {
 	wake   chan struct{}
 	ch     chan time.Time
 	period time.Duration // > 0 re-arms (Ticker)
+	parked *bellWaiter
 }
 
 type waiterHeap []*vwaiter
@@ -253,7 +261,7 @@ func (c *VirtualClock) NewTimer(d time.Duration) *Timer {
 		c.cond.Broadcast()
 	}
 	c.mu.Unlock()
-	return &Timer{C: ch, stop: func() bool { return c.removeWaiter(w) }}
+	return &Timer{C: ch, stop: func() bool { return c.removeWaiter(w) }, vw: w}
 }
 
 // After implements Clock.
@@ -276,7 +284,7 @@ func (c *VirtualClock) NewTicker(d time.Duration) *Ticker {
 		c.cond.Broadcast()
 	}
 	c.mu.Unlock()
-	return &Ticker{C: ch, stop: func() { c.removeWaiter(w) }}
+	return &Ticker{C: ch, stop: func() { c.removeWaiter(w) }, vw: w}
 }
 
 func (c *VirtualClock) removeWaiter(w *vwaiter) bool {
@@ -369,9 +377,8 @@ func (c *VirtualClock) releaseBarrier(b *vbarrier) {
 // holdDelivery parks the calling goroutine until virtual time reaches
 // the delivery instant at, atomically swapping the delivery's barrier
 // for a timed waiter so the advancer can neither jump past the
-// delivery nor stall on its barrier. A receive on abortC (a read
-// deadline on the same clock) ends the hold early.
-func (c *VirtualClock) holdDelivery(b *vbarrier, at time.Time, abortC <-chan time.Time) {
+// delivery nor stall on its barrier.
+func (c *VirtualClock) holdDelivery(b *vbarrier, at time.Time) {
 	d := at.Sub(c.base)
 	c.mu.Lock()
 	if b != nil && b.idx >= 0 {
@@ -390,22 +397,7 @@ func (c *VirtualClock) holdDelivery(b *vbarrier, at time.Time, abortC <-chan tim
 		c.cond.Broadcast()
 	}
 	c.mu.Unlock()
-
-	select {
-	case <-w.wake:
-		// Fired: the advancer transferred our busy slot back.
-	case <-abortC:
-		c.mu.Lock()
-		if w.idx >= 0 {
-			// Not fired yet: reclaim our own busy slot.
-			heap.Remove(&c.timers, w.idx)
-			c.busy++
-			c.gen++
-		}
-		// Otherwise the waiter fired concurrently and the busy slot
-		// was already transferred to us.
-		c.mu.Unlock()
-	}
+	<-w.wake // fired: the advancer transferred our busy slot back
 }
 
 // Pending reports the number of scheduled wakeups (timers and
@@ -432,66 +424,33 @@ func (c *VirtualClock) nowDur() time.Duration {
 	return c.now
 }
 
-// Poke tells the clock that the calling dispatch handler made a
-// registered goroutine runnable through something the clock cannot see
-// (an application channel send, a cond broadcast), so the advancer
-// must run a settle round before moving time again. See Poke (the
-// package function) for the handler-facing contract.
-func (c *VirtualClock) Poke() {
-	c.mu.Lock()
-	c.gen++
-	for _, d := range c.disp {
-		d.woke.Store(true)
-	}
-	c.mu.Unlock()
-}
-
 // stabilizeRounds bounds the advancer's settle loop: how many yield
 // rounds of unchanged state it requires before trusting that no woken
 // goroutine is still on a run queue waiting to declare itself busy.
-// This is the single-world budget for ordinary steps; settleRounds
-// scales it by the number of concurrently-open clocks, because each
-// runtime.Gosched may run a foreign world's goroutine instead of one
-// of ours.
+// Only waits bracketed in Block/Unblock need it — every Bell, Sleep
+// and delivery-hold wake hands its busy slot over under c.mu and is
+// visible without yielding. This is the single-world budget;
+// settleRounds scales it by the number of concurrently-open clocks,
+// because each runtime.Gosched may run a foreign world's goroutine
+// instead of one of ours.
 const stabilizeRounds = 12
 
-// wakeStabilizeRounds is the settle budget after a step that carried a
-// wake signal the clock cannot track — a dispatch handler that woke a
-// goroutine through a plain channel send (Poke), or a legacy enqueue
-// made from inside a dispatch batch. Unlike a barrier-protected legacy
-// delivery, such a wake is only caught if the woken goroutine gets
-// scheduled within the settle window, so the window must absorb
-// ambient scheduler load (GC assists, a dying world's stragglers).
-// The full budget is burned only when the signal turns out to have
-// woken nobody — any actual wake exits the loop early via the
-// busy/gen check — and wake steps are a small fraction of advances,
-// so the deep budget does not tax the common quiet step.
-const wakeStabilizeRounds = 64
+// maxStabilizeRounds caps the scaled settle budget. Yields under load
+// execute other worlds' useful work, so a generous cap costs little
+// wall time; it only bounds advancer latency on an otherwise idle
+// scheduler.
+const maxStabilizeRounds = 384
 
-// maxStabilizeRounds / maxWakeStabilizeRounds cap the scaled settle
-// budgets. Yields under load execute other worlds' useful work, so a
-// generous cap costs little wall time; it only bounds advancer latency
-// on an otherwise idle scheduler.
-const (
-	maxStabilizeRounds     = 384
-	maxWakeStabilizeRounds = 1024
-)
-
-// settleRounds is the current settle budget: the per-world base
-// (deeper when the last step carried an untracked wake signal) per
+// settleRounds is the current settle budget: the per-world base per
 // live VirtualClock sharing the scheduler.
-func settleRounds(deep bool) int {
+func settleRounds() int {
 	n := int(liveClocks.Load())
 	if n < 1 {
 		n = 1
 	}
-	base, cap := stabilizeRounds, maxStabilizeRounds
-	if deep {
-		base, cap = wakeStabilizeRounds, maxWakeStabilizeRounds
-	}
-	r := base * n
-	if r > cap {
-		r = cap
+	r := stabilizeRounds * n
+	if r > maxStabilizeRounds {
+		r = maxStabilizeRounds
 	}
 	return r
 }
@@ -525,7 +484,6 @@ func (c *VirtualClock) advance() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	needSettle := true
-	deepSettle := false
 	for {
 		if c.closed {
 			// Deliveries scheduled during teardown (every conn close
@@ -542,32 +500,25 @@ func (c *VirtualClock) advance() {
 		}
 		if c.busy > 0 || !c.pendingWorkLocked() {
 			c.cond.Wait()
-			needSettle, deepSettle = true, false
+			needSettle = true
 			continue
 		}
-		if needSettle && !c.settleLocked(deepSettle) {
-			deepSettle = false // whoever woke will re-park through the clock
-			continue           // someone became runnable; re-evaluate
+		if needSettle && !c.settleLocked() {
+			continue // someone became runnable; re-evaluate
 		}
 		kind, d := c.stepLocked()
 		switch kind {
-		case stepIdle:
-			needSettle, deepSettle = true, false
+		case stepIdle, stepWake:
+			needSettle = true
 		case stepQuiet:
 			needSettle = false
-		case stepWake:
-			needSettle, deepSettle = true, false
 		case stepDispatch:
 			at := c.now
 			gen := c.gen
 			c.mu.Unlock()
-			woke := d.runAt(at)
+			d.runAt(at)
 			c.mu.Lock()
-			needSettle = woke || c.gen != gen || c.busy > 0
-			// A woke flag or gen bump is an untracked wake: the woken
-			// goroutine may sit on a run queue for a while before it
-			// can declare itself busy, so the next settle digs deeper.
-			deepSettle = woke || c.gen != gen
+			needSettle = c.gen != gen || c.busy > 0
 		}
 	}
 }
@@ -589,9 +540,9 @@ func (c *VirtualClock) pendingWorkLocked() bool {
 // whose channel was just filled, a select whose timer just fired) a
 // chance to run and re-register as busy before time moves. It reports
 // whether the world stayed quiescent throughout.
-func (c *VirtualClock) settleLocked(deep bool) bool {
+func (c *VirtualClock) settleLocked() bool {
 	gen := c.gen
-	rounds := settleRounds(deep)
+	rounds := settleRounds()
 	for i := 0; i < rounds; i++ {
 		c.mu.Unlock()
 		runtime.Gosched()
@@ -635,10 +586,10 @@ func (c *VirtualClock) stepLocked() (stepKind, *dispatcher) {
 		b := c.barriers[0].at
 		if (nextTimer < 0 || b < nextTimer) && (nextDispatch < 0 || b < nextDispatch) {
 			// An in-flight delivery is due first: advance to its instant
-			// only. Its receiver (if one is parked on the queue) has been
-			// runnable since the enqueue and will be caught by the next
-			// settle round; a queue nobody reads stops capping time once
-			// matured.
+			// only. A reader parked on the queue was handed its busy slot
+			// by the enqueue's doorbell and has already swapped the
+			// barrier for a timed hold; a queue nobody reads stops
+			// capping time once matured.
 			heap.Pop(&c.barriers)
 			if b > c.now {
 				c.now = b
@@ -656,9 +607,18 @@ func (c *VirtualClock) stepLocked() (stepKind, *dispatcher) {
 			close(w.wake)
 			return stepWake, nil
 		}
-		select {
-		case w.ch <- c.base.Add(c.now):
-		default: // ticker receiver lagging; skip the tick like time.Ticker
+		if bw := w.parked; bw != nil {
+			// A Bell waiter is parked on this alarm: the fire is its
+			// wake, handed over like a Sleep's.
+			w.parked = nil
+			bw.state = bellAlarm
+			c.busy++
+			bw.wake <- struct{}{}
+		} else {
+			select {
+			case w.ch <- c.base.Add(c.now):
+			default: // ticker receiver lagging; skip the tick like time.Ticker
+			}
 		}
 		if w.period > 0 {
 			w.at += w.period

@@ -22,7 +22,11 @@ type Client struct {
 	doneOnce sync.Once
 	curPC    PacketConn
 	serverAt net.Addr
-	readerWG sync.WaitGroup
+	readerWG simnet.WaitGroup
+
+	// bell rings when accepted or done closes; the handshake wait and
+	// the retransmit loop park on it.
+	bell simnet.Bell
 }
 
 // DialConfig shapes a client dial.
@@ -82,25 +86,29 @@ func Dial(pc PacketConn, server net.Addr, cfg DialConfig) (*Client, error) {
 // awaitAcceptRetry retransmits the HELLO until ACCEPT or timeout.
 func (c *Client) awaitAcceptRetry(hello Packet, timeout time.Duration) error {
 	deadline := c.clk.Now().Add(timeout)
+	t := c.clk.NewTimer(rto)
 	for {
-		t := c.clk.NewTimer(rto)
-		c.clk.Block()
+		seq := c.bell.Seq()
 		select {
 		case <-c.accepted:
-			c.clk.Unblock()
 			t.Stop()
 			return nil
+		default:
+		}
+		select {
 		case <-c.done:
-			c.clk.Unblock()
 			t.Stop()
 			return ErrClosed
-		case <-t.C:
-			c.clk.Unblock()
-			if c.clk.Now().After(deadline) {
-				return fmt.Errorf("%w: handshake", ErrTimeout)
-			}
-			c.writeCtl(hello)
+		default:
 		}
+		if c.bell.Wait(c.clk, seq, t) {
+			continue
+		}
+		if c.clk.Now().After(deadline) {
+			return fmt.Errorf("%w: handshake", ErrTimeout)
+		}
+		c.writeCtl(hello)
+		t = c.clk.NewTimer(rto)
 	}
 }
 
@@ -244,9 +252,7 @@ func (c *Client) handlePkt(p Packet) {
 		c.mu.Unlock()
 		c.accOnce.Do(func() {
 			close(c.accepted)
-			// The dialer parked on accepted wakes; tell a virtual clock
-			// when this runs inside a dispatch handler.
-			simnet.Poke(c.clk)
+			c.bell.Ring()
 		})
 	case PktData:
 		// Ack first, deliver second: see ingestData.
@@ -266,13 +272,13 @@ func (c *Client) retransmitLoop() {
 	tick := c.clk.NewTicker(rto / 2)
 	defer tick.Stop()
 	for {
-		c.clk.Block()
+		seq := c.bell.Seq()
 		select {
 		case <-c.done:
-			c.clk.Unblock()
 			return
-		case <-tick.C:
-			c.clk.Unblock()
+		default:
+		}
+		if !c.bell.Wait(c.clk, seq, tick) {
 			c.retransmitTick()
 		}
 	}
@@ -283,6 +289,7 @@ func (c *Client) Close() {
 	c.doneOnce.Do(func() {
 		c.writeCtl(Packet{Type: PktClose, CID: c.cid})
 		close(c.done)
+		c.bell.Ring()
 		c.closeSession()
 		c.mu.Lock()
 		pc := c.curPC
@@ -290,8 +297,6 @@ func (c *Client) Close() {
 		if pc != nil {
 			pc.Close()
 		}
-		c.clk.Block()
-		c.readerWG.Wait()
-		c.clk.Unblock()
+		c.readerWG.Wait(c.clk)
 	})
 }

@@ -31,6 +31,7 @@ type Server struct {
 	cookies  map[uint64]uint64
 	closed   bool
 	done     chan struct{}
+	bell     simnet.Bell // rings when done closes; the retransmit loop parks on it
 
 	resumes atomic64
 	fresh   atomic64
@@ -330,13 +331,13 @@ func (s *Server) retransmitLoop() {
 	tick := s.clk.NewTicker(rto / 2)
 	defer tick.Stop()
 	for {
-		s.clk.Block()
+		seq := s.bell.Seq()
 		select {
 		case <-s.done:
-			s.clk.Unblock()
 			return
-		case <-tick.C:
-			s.clk.Unblock()
+		default:
+		}
+		if !s.bell.Wait(s.clk, seq, tick) {
 			s.mu.Lock()
 			sessions := make([]*ServerSession, 0, len(s.sessions))
 			for _, ss := range s.sessions {
@@ -368,6 +369,7 @@ func (s *Server) Close() {
 	s.sessions = make(map[uint64]*ServerSession)
 	s.mu.Unlock()
 	close(s.done)
+	s.bell.Ring()
 	for _, ss := range sessions {
 		ss.closeSession()
 	}

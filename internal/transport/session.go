@@ -58,16 +58,19 @@ type session struct {
 	closed bool
 	reset  bool
 
-	// Send state.
+	// Send state. sendBell rings when window space frees or the
+	// session ends.
 	nextSeq  uint64
 	sendBase uint64 // lowest unacked
 	inflight map[uint64]*inflightPkt
-	sendCond *sync.Cond
+	sendBell simnet.Bell
 
-	// Receive state.
+	// Receive state. recvBell rings when a payload is queued on
+	// incoming or the session ends.
 	expected uint64
 	pending  map[uint64][]byte
 	incoming chan []byte
+	recvBell simnet.Bell
 
 	// Stats.
 	sent, retransmits, delivered uint64
@@ -88,7 +91,6 @@ func newSession(pc PacketConn, peer net.Addr, cid uint64) *session {
 		pending:  make(map[uint64][]byte),
 		incoming: make(chan []byte, 1024),
 	}
-	s.sendCond = sync.NewCond(&s.mu)
 	return s
 }
 
@@ -99,9 +101,10 @@ func (s *session) CID() uint64 { return s.cid }
 func (s *session) send(payload []byte) error {
 	s.mu.Lock()
 	for !s.closed && !s.reset && len(s.inflight) >= maxWindow {
-		s.clk.Block()
-		s.sendCond.Wait()
-		s.clk.Unblock()
+		seq := s.sendBell.Seq()
+		s.mu.Unlock()
+		s.sendBell.Wait(s.clk, seq, nil)
+		s.mu.Lock()
 	}
 	if s.closed {
 		s.mu.Unlock()
@@ -142,21 +145,21 @@ func (s *session) writePacket(pc PacketConn, peer net.Addr, p Packet) error {
 
 // recv delivers the next in-order payload.
 func (s *session) recv(timeout time.Duration) ([]byte, error) {
-	// Fast path: a payload is already buffered.
-	select {
-	case b, ok := <-s.incoming:
-		return s.recvResult(b, ok)
-	default:
-	}
-	t := s.clk.NewTimer(timeout)
-	defer t.Stop()
-	s.clk.Block()
-	defer s.clk.Unblock()
-	select {
-	case b, ok := <-s.incoming:
-		return s.recvResult(b, ok)
-	case <-t.C:
-		return nil, ErrTimeout
+	var t *simnet.Timer
+	for {
+		seq := s.recvBell.Seq()
+		select {
+		case b, ok := <-s.incoming:
+			return s.recvResult(b, ok)
+		default:
+		}
+		if t == nil {
+			t = s.clk.NewTimer(timeout)
+			defer t.Stop()
+		}
+		if !s.recvBell.Wait(s.clk, seq, t) {
+			return nil, ErrTimeout
+		}
 	}
 }
 
@@ -223,15 +226,13 @@ func (s *session) finishData(deliver [][]byte, freed bool) {
 			}
 		}
 	}
-	if freed {
-		s.sendCond.Broadcast()
-	}
 	s.mu.Unlock()
-	if delivered || freed {
-		// A recv-parked app or window-blocked sender just became
-		// runnable; when this runs inside a dispatch handler the clock
-		// cannot see that wake on its own.
-		simnet.Poke(s.clk)
+	// Ring after the unlock: a woken goroutine goes straight for s.mu.
+	if delivered {
+		s.recvBell.Ring()
+	}
+	if freed {
+		s.sendBell.Ring()
 	}
 }
 
@@ -239,12 +240,9 @@ func (s *session) finishData(deliver [][]byte, freed bool) {
 func (s *session) handleAck(ack uint64) {
 	s.mu.Lock()
 	freed := s.applyAckLocked(ack)
-	if freed {
-		s.sendCond.Broadcast()
-	}
 	s.mu.Unlock()
 	if freed {
-		simnet.Poke(s.clk)
+		s.sendBell.Ring()
 	}
 }
 
@@ -324,9 +322,8 @@ func (s *session) markReset() {
 	}
 	s.reset = true
 	close(s.incoming)
-	s.sendCond.Broadcast()
 	s.mu.Unlock()
-	simnet.Poke(s.clk)
+	s.wakeAll()
 }
 
 // closeSession ends the session locally.
@@ -339,9 +336,15 @@ func (s *session) closeSession() {
 	}
 	s.closed = true
 	close(s.incoming)
-	s.sendCond.Broadcast()
 	s.mu.Unlock()
-	simnet.Poke(s.clk)
+	s.wakeAll()
+}
+
+// wakeAll rings both doorbells: the session ended, so every parked
+// sender and receiver must re-check.
+func (s *session) wakeAll() {
+	s.recvBell.Ring()
+	s.sendBell.Ring()
 }
 
 // SessionStats reports transfer counters.

@@ -58,7 +58,12 @@ type Device struct {
 	rx        chan rxPacket
 	nasEvents chan nasEvent
 	sysInfo   chan enb.SystemInfo
-	readerWG  sync.WaitGroup
+	readerWG  simnet.WaitGroup
+
+	// nasBell rings when system information or a NAS event is queued,
+	// rxBell when a downlink packet is; both ring when the association
+	// drops. Attach/Detach and recvPacket park on them.
+	nasBell, rxBell simnet.Bell
 
 	// sigTx/sigRx count NAS signaling payload bytes over the air in
 	// each direction — the UE end of the mobility plane's measurement
@@ -167,12 +172,14 @@ func (d *Device) Attach(airAddr string, timeout time.Duration) (AttachResult, er
 	}
 	air := wire.NewFrameConn(raw)
 
+	nasEvents := make(chan nasEvent, 16)
+	sysInfo := make(chan enb.SystemInfo, 1)
 	d.mu.Lock()
 	d.raw = raw
 	d.air = air
 	d.rx = make(chan rxPacket, 256)
-	d.nasEvents = make(chan nasEvent, 16)
-	d.sysInfo = make(chan enb.SystemInfo, 1)
+	d.nasEvents = nasEvents
+	d.sysInfo = sysInfo
 	d.mu.Unlock()
 
 	if sc, ok := raw.(*simnet.Conn); ok {
@@ -184,21 +191,24 @@ func (d *Device) Attach(airAddr string, timeout time.Duration) (AttachResult, er
 		clk.Go(func() { d.readLoop(raw, air) })
 	}
 
-	deadlineT := clk.NewTimer(timeout)
-	defer deadlineT.Stop()
-	deadline := deadlineT.C
+	deadline := clk.NewTimer(timeout)
+	defer deadline.Stop()
 
 	// Cell search: wait for the broadcast system information to learn
 	// the serving network identity before attaching.
 	var si enb.SystemInfo
-	clk.Block()
-	select {
-	case si = <-d.sysInfo:
-		clk.Unblock()
-	case <-deadline:
-		clk.Unblock()
-		d.dropConnLocked()
-		return AttachResult{}, fmt.Errorf("%w: no system information", ErrTimeout)
+	for got := false; !got; {
+		seq := d.nasBell.Seq()
+		select {
+		case si = <-sysInfo:
+			got = true
+			continue
+		default:
+		}
+		if !d.nasBell.Wait(clk, seq, deadline) {
+			d.dropConnLocked()
+			return AttachResult{}, fmt.Errorf("%w: no system information", ErrTimeout)
+		}
 	}
 
 	pdu, err := d.nue.StartAttach(si.SNID)
@@ -210,13 +220,8 @@ func (d *Device) Attach(airAddr string, timeout time.Duration) (AttachResult, er
 	}
 
 	for {
-		var ev nasEvent
-		clk.Block()
-		select {
-		case ev = <-d.nasEvents:
-			clk.Unblock()
-		case <-deadline:
-			clk.Unblock()
+		ev, ok := d.nextNASEvent(clk, nasEvents, deadline)
+		if !ok {
 			d.dropConnLocked()
 			return AttachResult{}, fmt.Errorf("%w: attach after %v", ErrTimeout, timeout)
 		}
@@ -269,16 +274,14 @@ func (d *Device) Detach(timeout time.Duration) error {
 		return err
 	}
 	clk := d.host.Clock()
-	deadlineT := clk.NewTimer(timeout)
-	defer deadlineT.Stop()
+	d.mu.Lock()
+	nasEvents := d.nasEvents
+	d.mu.Unlock()
+	deadline := clk.NewTimer(timeout)
+	defer deadline.Stop()
 	for {
-		var ev nasEvent
-		clk.Block()
-		select {
-		case ev = <-d.nasEvents:
-			clk.Unblock()
-		case <-deadlineT.C:
-			clk.Unblock()
+		ev, ok := d.nextNASEvent(clk, nasEvents, deadline)
+		if !ok {
 			return fmt.Errorf("%w: detach after %v", ErrTimeout, timeout)
 		}
 		if ev.err != nil {
@@ -292,6 +295,22 @@ func (d *Device) Detach(timeout time.Duration) error {
 		if done {
 			d.dropConnLocked()
 			return nil
+		}
+	}
+}
+
+// nextNASEvent waits for the next queued NAS event, reporting false if
+// the deadline fires first.
+func (d *Device) nextNASEvent(clk simnet.Clock, events chan nasEvent, deadline *simnet.Timer) (nasEvent, bool) {
+	for {
+		seq := d.nasBell.Seq()
+		select {
+		case ev := <-events:
+			return ev, true
+		default:
+		}
+		if !d.nasBell.Wait(clk, seq, deadline) {
+			return nasEvent{}, false
 		}
 	}
 }
@@ -334,28 +353,25 @@ func (d *Device) recvPacket(timeout time.Duration) (rxPacket, error) {
 	if rx == nil {
 		return rxPacket{}, ErrNotAttached
 	}
-	// Fast path: a packet is already buffered.
-	select {
-	case p, ok := <-rx:
-		if !ok {
-			return rxPacket{}, ErrDetachedMid
-		}
-		return p, nil
-	default:
-	}
 	clk := d.host.Clock()
-	t := clk.NewTimer(timeout)
-	defer t.Stop()
-	clk.Block()
-	defer clk.Unblock()
-	select {
-	case p, ok := <-rx:
-		if !ok {
-			return rxPacket{}, ErrDetachedMid
+	var t *simnet.Timer
+	for {
+		seq := d.rxBell.Seq()
+		select {
+		case p, ok := <-rx:
+			if !ok {
+				return rxPacket{}, ErrDetachedMid
+			}
+			return p, nil
+		default:
 		}
-		return p, nil
-	case <-t.C:
-		return rxPacket{}, fmt.Errorf("%w: recv after %v", ErrTimeout, timeout)
+		if t == nil {
+			t = clk.NewTimer(timeout)
+			defer t.Stop()
+		}
+		if !d.rxBell.Wait(clk, seq, t) {
+			return rxPacket{}, fmt.Errorf("%w: recv after %v", ErrTimeout, timeout)
+		}
 	}
 }
 
@@ -464,8 +480,9 @@ func (st *airState) HandleStreamClose() {
 
 // frame consumes one downlink air frame. frame is valid only for the
 // duration of the call; anything queued (NAS PDUs, user packets) is
-// copied into its own pooled buffer. Channel sends that wake parked
-// consumers Poke the clock, since this may run inside a dispatch batch.
+// copied into its own pooled buffer. Every queued item rings the
+// consumer's doorbell, which hands a parked consumer its busy slot even
+// when this runs inside a dispatch batch.
 func (st *airState) frame(frame []byte) {
 	d := st.d
 	t, payload, err := enb.DecodeAirView(frame)
@@ -480,7 +497,7 @@ func (st *airState) frame(frame []byte) {
 			d.mu.Unlock()
 			select {
 			case ch <- si:
-				simnet.Poke(d.host.Clock())
+				d.nasBell.Ring()
 			default:
 			}
 		}
@@ -494,7 +511,7 @@ func (st *airState) frame(frame []byte) {
 		d.mu.Unlock()
 		select {
 		case ch <- nasEvent{pdu: pdu}:
-			simnet.Poke(d.host.Clock())
+			d.nasBell.Ring()
 		default:
 			wire.PutFrame(pdu)
 		}
@@ -518,7 +535,7 @@ func (st *airState) frame(frame []byte) {
 			buf := append(wire.GetFrame(), data...)
 			select {
 			case ch <- rxPacket{remote: st.lastRemote, addr: st.lastAddr, data: buf}:
-				simnet.Poke(d.host.Clock())
+				d.rxBell.Ring()
 			default: // receiver not draining; drop like a full buffer
 				wire.PutFrame(buf)
 			}
@@ -542,7 +559,8 @@ func (d *Device) connLost(raw net.Conn) {
 		}
 	}
 	d.mu.Unlock()
-	simnet.Poke(d.host.Clock())
+	d.nasBell.Ring()
+	d.rxBell.Ring()
 }
 
 // installAir attaches the run-to-completion downlink path to a simnet
@@ -581,10 +599,7 @@ func (d *Device) dropConnLocked() {
 	d.mu.Unlock()
 	if raw != nil {
 		raw.Close()
-		clk := d.host.Clock()
-		clk.Block()
-		d.readerWG.Wait()
-		clk.Unblock()
+		d.readerWG.Wait(d.host.Clock())
 	}
 }
 
